@@ -314,7 +314,7 @@ func runSim(ctx context.Context, cfg simConfig) (*simResult, error) {
 	if err := s.runCycles(ctx); err != nil {
 		return nil, err
 	}
-	s.recoverAll()
+	s.recoverAll(ctx)
 	s.verify()
 	s.collectStats()
 	s.res.Elapsed = time.Since(start)
@@ -463,7 +463,7 @@ func (s *sim) runCycles(ctx context.Context) error {
 		if err := s.ctl.BeginCycle(c); err != nil {
 			return err
 		}
-		s.applyChurn(c)
+		s.applyChurn(ctx, c)
 
 		// Planning phase: every live balance group runs its scheduling
 		// cycle; down nodes simply miss the round (their prosumers'
@@ -508,8 +508,8 @@ func (s *sim) runCycles(ctx context.Context) error {
 // applyChurn processes deferred departures, then draws this cycle's
 // leavers. A household whose BRP is down still leaves immediately — the
 // BRP only learns (and settles the penalty) once it is back.
-func (s *sim) applyChurn(c int) {
-	s.drainDeferred(c)
+func (s *sim) applyChurn(ctx context.Context, c int) {
+	s.drainDeferred(ctx, c)
 	if s.cfg.Churn <= 0 {
 		return
 	}
@@ -527,26 +527,26 @@ func (s *sim) applyChurn(c int) {
 			s.res.ChurnDeferred++
 			continue
 		}
-		s.cancel(gi, c)
+		s.cancel(ctx, gi, c)
 	}
 }
 
-func (s *sim) drainDeferred(c int) {
+func (s *sim) drainDeferred(ctx context.Context, c int) {
 	var still []int
 	for _, gi := range s.deferred {
 		if s.down[s.hh[gi].brp] {
 			still = append(still, gi)
 			continue
 		}
-		s.cancel(gi, c)
+		s.cancel(ctx, gi, c)
 	}
 	s.deferred = still
 }
 
 // cancel settles one mid-contract departure against its BRP's ledger.
-func (s *sim) cancel(gi, c int) {
+func (s *sim) cancel(ctx context.Context, gi, c int) {
 	hh := s.hh[gi]
-	rep, err := s.brps[hh.brp].CancelProsumer(hh.h.Name, settle.CancelConfig{
+	rep, err := s.brps[hh.brp].CancelProsumer(ctx, hh.h.Name, settle.CancelConfig{
 		PenaltyEUR: 0.5, PenaltyPerKWh: 0.05,
 		Memo: fmt.Sprintf("left mid-contract at cycle %d", c),
 	})
@@ -668,7 +668,7 @@ func (sh *shard) submit(ctx context.Context, s *sim, off *flexoffer.FlexOffer, b
 // recoverAll replays the tail of the fault schedule (restarts or heals
 // planned past the last cycle), brings any still-down node back, and
 // settles departures that were waiting on a dead BRP.
-func (s *sim) recoverAll() {
+func (s *sim) recoverAll(ctx context.Context) {
 	if evs := s.ctl.Events(); len(evs) > 0 {
 		for n := s.cfg.Cycles; n <= evs[len(evs)-1]; n++ {
 			if err := s.ctl.BeginCycle(n); err != nil {
@@ -683,7 +683,7 @@ func (s *sim) recoverAll() {
 			}
 		}
 	}
-	s.drainDeferred(s.cfg.Cycles)
+	s.drainDeferred(ctx, s.cfg.Cycles)
 }
 
 // verify drains every journal and checks the run's durability contract:

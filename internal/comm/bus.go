@@ -76,7 +76,9 @@ func (b *Bus) handler(name string) (Handler, error) {
 
 // Send implements Transport. The handler runs detached from the
 // caller's cancellation (the message is already "on the wire") but
-// still sees its values.
+// still sees its values. Like Request, it hands the handler a deep copy
+// of a typed body, so the handler may run after the caller has moved on
+// without either seeing the other's writes.
 func (b *Bus) Send(ctx context.Context, to string, env Envelope) error {
 	h, err := b.handler(to)
 	if err != nil {
@@ -86,6 +88,7 @@ func (b *Bus) Send(ctx context.Context, to string, env Envelope) error {
 		return err
 	}
 	detached := context.WithoutCancel(ctx)
+	env = env.detached()
 	go func() {
 		_, _ = h(detached, env)
 	}()
@@ -95,7 +98,8 @@ func (b *Bus) Send(ctx context.Context, to string, env Envelope) error {
 // Request implements Transport. The handler observes ctx directly, so a
 // canceled request tells the handler to stop; the worker goroutine
 // never blocks on delivering its result (buffered channel), so an
-// abandoned request cannot leak it.
+// abandoned request cannot leak it. The handler gets its own copy of a
+// typed body because a canceled caller returns while it still runs.
 func (b *Bus) Request(ctx context.Context, to string, env Envelope) (Envelope, error) {
 	h, err := b.handler(to)
 	if err != nil {
@@ -114,6 +118,7 @@ func (b *Bus) Request(ctx context.Context, to string, env Envelope) (Envelope, e
 		err   error
 	}
 	ch := make(chan outcome, 1)
+	env = env.detached()
 	go func() {
 		r, err := h(ctx, env)
 		ch <- outcome{r, err}

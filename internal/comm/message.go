@@ -5,10 +5,12 @@
 //
 // The package is layered, context-first throughout:
 //
-//   - Envelope is the wire unit: a typed JSON payload with routing
+//   - Envelope is the wire unit: a typed payload with routing
 //     metadata. Two Transports move envelopes: an in-process Bus for
-//     population-scale simulation and a TCP transport for real
-//     deployments — length-prefixed frames over bounded per-destination
+//     population-scale simulation, which passes bodies by reference and
+//     hands each receiver a deep copy, and a TCP transport for real
+//     deployments, where the envelope is a typed JSON payload in
+//     length-prefixed frames over bounded per-destination
 //     connection pools, with requests correlated to replies by
 //     Envelope.Seq so any number of round trips pipeline per
 //     connection. Concurrent operations on one TCPClient overlap
@@ -48,6 +50,9 @@ package comm
 import (
 	"encoding/json"
 	"fmt"
+	"math"
+	"reflect"
+	"slices"
 
 	"mirabel/internal/flexoffer"
 )
@@ -84,12 +89,19 @@ const (
 )
 
 // Envelope is the wire unit: a typed payload with routing metadata.
+// A body of the message vocabulary below travels as the typed value
+// given to NewEnvelope; Body holds JSON only for envelopes read off
+// TCP, for other body types, and in the TCP frame itself.
 type Envelope struct {
 	Type MsgType         `json:"type"`
 	From string          `json:"from"`
 	To   string          `json:"to"`
 	Seq  uint64          `json:"seq,omitempty"` // correlation id for replies
 	Body json.RawMessage `json:"body,omitempty"`
+
+	// body is the typed body when Body is nil; its type is a key of
+	// bodyTypes.
+	body any
 }
 
 // FlexOfferSubmit is the body of MsgFlexOfferSubmit.
@@ -146,8 +158,107 @@ type ErrorBody struct {
 	Message string `json:"message"`
 }
 
-// NewEnvelope marshals body into a typed envelope.
+// bodyTypes holds, for each body type of the message vocabulary, a
+// deep copy and a finiteness check. Envelopes carry these bodies by
+// reference, and every copy handed to a receiver shares no memory with
+// the sender — the isolation a JSON round trip gives. The check covers
+// the one value json.Marshal rejects in these types, a NaN or infinite
+// float: NewEnvelope marshals a body that fails it, so the error comes
+// from NewEnvelope, before any transport sees the envelope.
+var bodyTypes = map[reflect.Type]bodyType{
+	reflect.TypeOf(FlexOfferSubmit{}): vocab(func(b FlexOfferSubmit) FlexOfferSubmit {
+		if b.Offer != nil {
+			b.Offer = b.Offer.Clone()
+		}
+		return b
+	}, func(b FlexOfferSubmit) bool {
+		if b.Offer == nil {
+			return true
+		}
+		for _, s := range b.Offer.Profile {
+			if !finite(s.EnergyMin) || !finite(s.EnergyMax) {
+				return false
+			}
+		}
+		return finite(b.Offer.CostPerKWh)
+	}),
+	reflect.TypeOf(ScheduleNotify{}): vocab(func(b ScheduleNotify) ScheduleNotify {
+		if b.Schedules != nil {
+			scheds := make([]*flexoffer.Schedule, len(b.Schedules))
+			for i, s := range b.Schedules {
+				if s != nil {
+					cp := *s
+					cp.Energy = slices.Clone(s.Energy)
+					scheds[i] = &cp
+				}
+			}
+			b.Schedules = scheds
+		}
+		return b
+	}, func(b ScheduleNotify) bool {
+		for _, s := range b.Schedules {
+			if s != nil && !finite(s.Energy...) {
+				return false
+			}
+		}
+		return true
+	}),
+	reflect.TypeOf(MeasurementBatch{}): vocab(func(b MeasurementBatch) MeasurementBatch {
+		b.Reports = slices.Clone(b.Reports)
+		return b
+	}, func(b MeasurementBatch) bool {
+		for _, r := range b.Reports {
+			if !finite(r.KWh) {
+				return false
+			}
+		}
+		return true
+	}),
+	reflect.TypeOf(ForecastReply{}): vocab(func(b ForecastReply) ForecastReply {
+		b.Values = slices.Clone(b.Values)
+		return b
+	}, func(b ForecastReply) bool { return finite(b.Values...) }),
+	// Bodies without pointers, slices or maps copy by assignment.
+	reflect.TypeOf(FlexOfferDecision{}): vocab(same[FlexOfferDecision], func(b FlexOfferDecision) bool { return finite(b.PremiumEUR) }),
+	reflect.TypeOf(MeasurementReport{}): vocab(same[MeasurementReport], func(b MeasurementReport) bool { return finite(b.KWh) }),
+	reflect.TypeOf(ForecastRequest{}):   vocab(same[ForecastRequest], always[ForecastRequest]),
+	reflect.TypeOf(ErrorBody{}):         vocab(same[ErrorBody], always[ErrorBody]),
+}
+
+type bodyType struct {
+	clone  func(any) any
+	finite func(any) bool
+}
+
+func vocab[T any](clone func(T) T, finite func(T) bool) bodyType {
+	return bodyType{
+		clone:  func(b any) any { return clone(b.(T)) },
+		finite: func(b any) bool { return finite(b.(T)) },
+	}
+}
+
+func same[T any](b T) T { return b }
+
+func always[T any](T) bool { return true }
+
+// finite reports whether no x is NaN or infinite.
+func finite(xs ...float64) bool {
+	for _, x := range xs {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return false
+		}
+	}
+	return true
+}
+
+// NewEnvelope builds a typed envelope. A body of the message vocabulary
+// is kept by reference and marshalled only if the envelope crosses TCP;
+// any other body, and a vocabulary body with a non-finite float, is
+// marshalled to JSON here, which reports the error.
 func NewEnvelope(t MsgType, from, to string, body any) (Envelope, error) {
+	if bt, ok := bodyTypes[reflect.TypeOf(body)]; ok && bt.finite(body) {
+		return Envelope{Type: t, From: from, To: to, body: body}, nil
+	}
 	raw, err := json.Marshal(body)
 	if err != nil {
 		return Envelope{}, fmt.Errorf("comm: marshal %s body: %w", t, err)
@@ -155,19 +266,63 @@ func NewEnvelope(t MsgType, from, to string, body any) (Envelope, error) {
 	return Envelope{Type: t, From: from, To: to, Body: raw}, nil
 }
 
-// Decode unmarshals the envelope body into out and verifies the type tag.
+// Decode stores the envelope body into out and verifies the type tag.
+// A typed body decoded into a pointer to its own type is deep-copied;
+// every other pairing goes through JSON, as on the wire.
 func (e *Envelope) Decode(want MsgType, out any) error {
 	if e.Type != want {
 		return fmt.Errorf("comm: envelope is %s, want %s", e.Type, want)
 	}
-	if err := json.Unmarshal(e.Body, out); err != nil {
+	if e.body != nil {
+		dst := reflect.ValueOf(out)
+		if dst.Kind() == reflect.Pointer && !dst.IsNil() && dst.Type().Elem() == reflect.TypeOf(e.body) {
+			dst.Elem().Set(reflect.ValueOf(bodyTypes[dst.Type().Elem()].clone(e.body)))
+			return nil
+		}
+	}
+	raw, err := e.jsonBody()
+	if err != nil {
+		return err
+	}
+	if err := json.Unmarshal(raw, out); err != nil {
 		return fmt.Errorf("comm: decode %s body: %w", e.Type, err)
 	}
 	return nil
 }
 
+// jsonBody returns the body's JSON encoding, marshalling a typed body.
+func (e *Envelope) jsonBody() (json.RawMessage, error) {
+	if e.body == nil {
+		return e.Body, nil
+	}
+	raw, err := json.Marshal(e.body)
+	if err != nil {
+		return nil, fmt.Errorf("comm: marshal %s body: %w", e.Type, err)
+	}
+	return raw, nil
+}
+
+// encoded returns the envelope as it goes on the wire, with a typed
+// body marshalled into Body.
+func (e Envelope) encoded() (Envelope, error) {
+	raw, err := e.jsonBody()
+	if err != nil {
+		return Envelope{}, err
+	}
+	e.Body, e.body = raw, nil
+	return e, nil
+}
+
+// detached returns the envelope with its typed body deep-copied, for a
+// delivery that may outlive the sender's call.
+func (e Envelope) detached() Envelope {
+	if e.body != nil {
+		e.body = bodyTypes[reflect.TypeOf(e.body)].clone(e.body)
+	}
+	return e
+}
+
 // ErrorEnvelope builds an error reply for a received envelope.
 func ErrorEnvelope(inReplyTo *Envelope, from string, msg string) Envelope {
-	raw, _ := json.Marshal(ErrorBody{Message: msg})
-	return Envelope{Type: MsgError, From: from, To: inReplyTo.From, Seq: inReplyTo.Seq, Body: raw}
+	return Envelope{Type: MsgError, From: from, To: inReplyTo.From, Seq: inReplyTo.Seq, body: ErrorBody{Message: msg}}
 }

@@ -28,10 +28,15 @@ const maxPooledFrameBuf = 1 << 20
 // frames without allocating a fresh payload buffer per message.
 var framePool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// writeFrame writes a length-prefixed JSON frame. Header and payload are
-// encoded into a pooled buffer and flushed as a single Write, so a frame
-// costs one syscall and no per-frame payload allocation.
+// writeFrame writes a length-prefixed JSON frame; a typed body still
+// left in env is marshalled here. Header and payload are encoded into a
+// pooled buffer and flushed as a single Write, so a frame costs one
+// syscall and no per-frame payload allocation.
 func writeFrame(w io.Writer, env *Envelope) error {
+	frame, err := env.encoded()
+	if err != nil {
+		return err
+	}
 	buf := framePool.Get().(*bytes.Buffer)
 	defer func() {
 		if buf.Cap() <= maxPooledFrameBuf {
@@ -40,7 +45,7 @@ func writeFrame(w io.Writer, env *Envelope) error {
 	}()
 	buf.Reset()
 	buf.Write([]byte{0, 0, 0, 0}) // length placeholder
-	if err := json.NewEncoder(buf).Encode(env); err != nil {
+	if err := json.NewEncoder(buf).Encode(&frame); err != nil {
 		return fmt.Errorf("comm: marshal frame: %w", err)
 	}
 	// The encoder's trailing newline stays inside the frame; it is
@@ -51,7 +56,7 @@ func writeFrame(w io.Writer, env *Envelope) error {
 	}
 	raw := buf.Bytes()
 	binary.BigEndian.PutUint32(raw[:4], uint32(n))
-	_, err := w.Write(raw)
+	_, err = w.Write(raw)
 	return err
 }
 
@@ -226,8 +231,14 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 			default:
 				reply.Seq = env.Seq
 			}
+			// Encode before taking the connection: a body JSON rejects
+			// fails this request alone, as an error reply.
+			frame, err := reply.encoded()
+			if err != nil {
+				frame = ErrorEnvelope(&env, env.To, err.Error())
+			}
 			wmu.Lock()
-			werr := writeFrame(conn, reply)
+			werr := writeFrame(conn, &frame)
 			wmu.Unlock()
 			if werr != nil {
 				conn.Close() // broken pipe: unblock the read loop too
@@ -397,6 +408,12 @@ func (c *TCPClient) Send(ctx context.Context, to string, env Envelope) error {
 		ctx, cancel = context.WithTimeout(ctx, DefaultTimeout)
 		defer cancel()
 	}
+	// The body is marshalled before any I/O, so a body JSON rejects fails
+	// this call alone, never the pooled connection.
+	env, err := env.encoded()
+	if err != nil {
+		return fmt.Errorf("comm: send to %s: %w", to, err)
+	}
 	pool, err := c.pool(to)
 	if err != nil {
 		return err
@@ -454,6 +471,10 @@ func (c *TCPClient) roundTrip(ctx context.Context, to string, env Envelope) (Env
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, DefaultTimeout)
 		defer cancel()
+	}
+	env, err := env.encoded()
+	if err != nil {
+		return Envelope{}, fmt.Errorf("comm: request to %s: %w", to, err)
 	}
 	pool, err := c.pool(to)
 	if err != nil {

@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"errors"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -11,6 +13,7 @@ import (
 	"mirabel/internal/flexoffer"
 	"mirabel/internal/ingest"
 	"mirabel/internal/sched"
+	"mirabel/internal/settle"
 	"mirabel/internal/store"
 )
 
@@ -216,5 +219,96 @@ func TestNodeCloseFlushesIngest(t *testing.T) {
 	}
 	if got := len(brp.Store().Measurements(store.MeasurementFilter{})); got != 50 {
 		t.Fatalf("measurements after close = %d, want 50", got)
+	}
+}
+
+// TestCancelProsumerVoidsUndrainedOffer: an offer acked through the
+// ingest queue but still waiting for a consumer is cancelled like any
+// other — CancelProsumer drains intake first, bounded by its ctx.
+func TestCancelProsumerVoidsUndrainedOffer(t *testing.T) {
+	dir := t.TempDir()
+	entered := make(chan struct{}, 1)
+	release := make(chan struct{})
+	bus := comm.NewBus()
+	brp, err := NewNode(Config{
+		Name:      "brp1",
+		Role:      store.RoleBRP,
+		Transport: bus,
+		AggParams: agg.ParamsP3,
+		SchedOpts: sched.Options{MaxIterations: 3, Seed: 1},
+		Ingest: &ingest.Config{
+			Path:      filepath.Join(dir, "ingest.log"),
+			Queue:     16,
+			Consumers: 1,
+			MaxBatch:  1,
+			// The single consumer parks in the hook on the first
+			// measurement batch, so the offer acked behind it stays
+			// undrained until the test releases it.
+			OnMeasurements: func([]store.Measurement) {
+				select {
+				case entered <- struct{}{}:
+				default:
+				}
+				<-release
+			},
+		},
+		Settlement: &settle.LedgerConfig{Path: filepath.Join(dir, "ledger.log")},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer brp.Close()
+	unstall := sync.OnceFunc(func() { close(release) })
+	defer unstall() // before Close, whose drain needs the consumer
+	bus.Register("brp1", brp.Handler())
+	p1 := newProsumer(t, bus, "p1")
+
+	if err := brp.IngestMeasurements([]store.Measurement{{Actor: "p1", EnergyType: "elec", Slot: 1, KWh: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	if d, err := p1.SubmitOfferTo(context.Background(), testOffer(1, 40, 16, 4, 5)); err != nil || !d.Accept {
+		t.Fatalf("submit: %v %+v", err, d)
+	}
+	if _, ok := brp.Store().GetOffer(1); ok {
+		t.Fatal("offer already drained; the test needs it queued")
+	}
+	cfg := settle.CancelConfig{PenaltyEUR: 0.5}
+
+	// The drain is bounded by the caller's ctx.
+	short, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	_, err = brp.CancelProsumer(short, "p1", cfg)
+	cancel()
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("cancel with a stalled drain = %v, want the ctx deadline", err)
+	}
+
+	type result struct {
+		rep *settle.CancelReport
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		rep, err := brp.CancelProsumer(context.Background(), "p1", cfg)
+		done <- result{rep, err}
+	}()
+	var r result
+	select {
+	case r = <-done: // returned without waiting for intake
+	case <-time.After(50 * time.Millisecond):
+		unstall()
+		r = <-done
+	}
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	if len(r.rep.Cancelled) != 1 || r.rep.Cancelled[0] != 1 {
+		t.Fatalf("cancelled = %v, want the undrained offer 1", r.rep.Cancelled)
+	}
+	if rec, ok := brp.Store().GetOffer(1); !ok || rec.State != store.OfferCancelled {
+		t.Errorf("offer 1 = %+v, %v; want cancelled", rec, ok)
+	}
+	if n := brp.PendingOffers(); n != 0 {
+		t.Errorf("pending offers = %d, want 0", n)
 	}
 }

@@ -663,12 +663,21 @@ func (n *Node) RecoveredPending() int { return n.recoveredPending }
 // penalty entry on the ledger, one close-out entry zeroes their balance,
 // and their still-pending offers leave the aggregation pipeline so the
 // next cycle plans without them. Requires a settlement ledger.
-func (n *Node) CancelProsumer(prosumer string, cfg settle.CancelConfig) (*settle.CancelReport, error) {
+//
+// Offers acked through the async ingest queue but not yet applied count
+// too: intake is drained first, bounded by ctx, so the outcome does not
+// depend on how far the consumers have got.
+func (n *Node) CancelProsumer(ctx context.Context, prosumer string, cfg settle.CancelConfig) (*settle.CancelReport, error) {
 	if n.ledger == nil {
 		return nil, fmt.Errorf("core: %s has no settlement ledger to cancel against", n.cfg.Name)
 	}
 	n.cycleMu.Lock()
 	defer n.cycleMu.Unlock()
+	if n.ingest != nil {
+		if err := n.ingest.Drain(ctx); err != nil {
+			return nil, fmt.Errorf("core: drain ingest before cancelling %s: %w", prosumer, err)
+		}
+	}
 	rep, err := settle.CancelActor(n.store, n.ledger, prosumer, cfg)
 	if err != nil {
 		return nil, err

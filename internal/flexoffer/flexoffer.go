@@ -13,6 +13,7 @@ package flexoffer
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // SlotMinutes is the duration of one time slot. The whole system operates
@@ -129,7 +130,7 @@ func (f *FlexOffer) Validate() error {
 // Clone returns a deep copy of the offer.
 func (f *FlexOffer) Clone() *FlexOffer {
 	cp := *f
-	cp.Profile = append([]Slice(nil), f.Profile...)
+	cp.Profile = slices.Clone(f.Profile)
 	return &cp
 }
 

@@ -2,7 +2,6 @@ package ingest
 
 import (
 	"context"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -95,11 +94,7 @@ func writeJournalLines(t *testing.T, path string, events []event) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		line, err := encodeLine(kind, false, json.RawMessage(data))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := f.Write(line); err != nil {
+		if _, err := f.Write(store.AppendFrame(nil, kind, '0', data)); err != nil {
 			t.Fatal(err)
 		}
 	}

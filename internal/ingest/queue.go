@@ -2,15 +2,12 @@ package ingest
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,27 +22,15 @@ const (
 )
 
 // A journal line frames one logged ingest event — a flex-offer upsert
-// or a measurement batch — as
+// or a measurement batch — as a store log frame (store.AppendFrame):
 //
 //	kind|d|crc32hex|payload\n
 //
-// with the payload's JSON kept verbatim: the ack path is the producer's
-// latency, so the frame is built by hand instead of wrapping the
-// payload in a second json.Marshal. The d flag marks events parked on
-// disk by PolicyDefer — the refill reader re-admits them even when they
-// sit past the recovery horizon. The CRC covers kind|d|payload so
-// recovery rejects corrupt lines.
-func checksum(kind string, deferred bool, data []byte) uint32 {
-	h := crc32.NewIEEE()
-	h.Write([]byte(kind))
-	if deferred {
-		h.Write([]byte{'|', '1', '|'})
-	} else {
-		h.Write([]byte{'|', '0', '|'})
-	}
-	h.Write(data)
-	return h.Sum32()
-}
+// with the payload's JSON marshalled once: the ack path is the
+// producer's latency. The d flag marks events parked on disk by
+// PolicyDefer — the refill reader re-admits them even when they sit
+// past the recovery horizon. The CRC covers kind|d|payload so recovery
+// rejects corrupt lines.
 
 // event is one queued unit of intake work. Exactly one of offer/meas is
 // set. out, when non-nil, is the submission epoch's outstanding counter
@@ -68,46 +53,15 @@ func marshalEvent(ev event) (kind string, data json.RawMessage, err error) {
 	return kindMeas, data, err
 }
 
-// encodeLine frames a journal line from a pre-marshaled payload. JSON
-// never emits a raw newline, so the payload cannot break line framing.
-func encodeLine(kind string, deferred bool, data json.RawMessage) ([]byte, error) {
-	flag := byte('0')
-	if deferred {
-		flag = '1'
-	}
-	line := make([]byte, 0, len(kind)+len(data)+13)
-	line = append(line, kind...)
-	line = append(line, '|', flag, '|')
-	line = strconv.AppendUint(line, uint64(checksum(kind, deferred, data)), 16)
-	line = append(line, '|')
-	line = append(line, data...)
-	return append(line, '\n'), nil
-}
-
-// decodeLine parses and verifies one journal line. ok is false for
+// decodeEvent parses and verifies one journal line. ok is false for
 // corrupt lines (skipped and counted, never fatal).
-func decodeLine(line []byte) (ev event, deferred bool, ok bool) {
-	line = bytes.TrimSuffix(line, []byte{'\n'})
-	k := bytes.IndexByte(line, '|')
-	if k < 0 || len(line) < k+4 || line[k+2] != '|' {
+func decodeEvent(line []byte) (ev event, deferred bool, ok bool) {
+	kind, flag, data, ok := store.ParseFrame(line)
+	if !ok {
 		return event{}, false, false
 	}
-	kind := string(line[:k])
-	deferred = line[k+1] == '1'
-	rest := line[k+3:]
-	c := bytes.IndexByte(rest, '|')
-	if c < 0 {
-		return event{}, false, false
-	}
-	crc, err := strconv.ParseUint(string(rest[:c]), 16, 32)
-	if err != nil {
-		return event{}, false, false
-	}
-	data := rest[c+1:]
-	if checksum(kind, deferred, data) != uint32(crc) {
-		return event{}, false, false
-	}
-	switch kind {
+	deferred = flag == '1'
+	switch string(kind) {
 	case kindOffer:
 		var r store.OfferRecord
 		if err := json.Unmarshal(data, &r); err != nil || r.Offer == nil {
@@ -205,7 +159,7 @@ func Open(cfg Config) (*Queue, error) {
 		// tail never hides appends.
 		recovered := 0
 		count := func(line []byte) error {
-			if _, _, ok := decodeLine(line); ok {
+			if _, _, ok := decodeEvent(line); ok {
 				recovered++
 			}
 			return nil
@@ -343,18 +297,19 @@ func (q *Queue) submit(ctx context.Context, ev event) error {
 	}
 
 	if q.log != nil {
-		line, err := encodeLine(kind, deferred, data)
-		if err == nil {
-			if deferred {
-				// Count before the append lands: a concurrent refill
-				// must never apply a journal line that is not yet
-				// reflected in the backlog counter, or the counter
-				// would stick above zero and Drain would never finish.
-				q.deferred.Add(1)
-			}
-			err = q.log.Append([][]byte{line})
+		flag := byte('0')
+		if deferred {
+			flag = '1'
 		}
-		if err != nil {
+		line := store.AppendFrame(make([]byte, 0, len(kind)+len(data)+14), kind, flag, data)
+		if deferred {
+			// Count before the append lands: a concurrent refill must
+			// never apply a journal line that is not yet reflected in
+			// the backlog counter, or the counter would stick above zero
+			// and Drain would never finish.
+			q.deferred.Add(1)
+		}
+		if err := q.log.Append([][]byte{line}); err != nil {
 			// A non-deferred event is already staged and will still be
 			// applied from memory; the ack fails because durability
 			// can't be promised.
@@ -549,7 +504,7 @@ func (q *Queue) scanSegment(path string, base int64) ([]event, error) {
 		}
 		lineStart := q.readOff
 		q.readOff += int64(len(line))
-		ev, deferred, ok := decodeLine(line)
+		ev, deferred, ok := decodeEvent(line)
 		if !ok {
 			q.stats.noteApplyErr(fmt.Errorf("ingest: corrupt journal line at %d", lineStart))
 			continue

@@ -1,11 +1,11 @@
 package ingest
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"mirabel/internal/obs"
 	"mirabel/internal/store"
 )
 
@@ -22,7 +22,7 @@ type Stats struct {
 	Depth       int // events staged in memory right now
 	DiskBacklog int // deferred events awaiting refill right now
 
-	AckP50, AckP95, AckP99 time.Duration // producer ack latency
+	AckP50, AckP95, AckP99 time.Duration // producer ack latency since Open
 
 	Batches      uint64  // coalesced store applies
 	MeanBatch    float64 // events per apply
@@ -36,11 +36,9 @@ type Stats struct {
 	Journal store.LogStats // group-commit counters of the journal
 }
 
-// ackWindow bounds the latency reservoir; recent acks dominate.
-const ackWindow = 4096
-
-// statsCollector accumulates queue counters with atomic hot paths and a
-// small mutex-guarded latency ring.
+// statsCollector accumulates queue counters and the ack-latency
+// histogram with atomic hot paths; a mutex guards only the first apply
+// error.
 type statsCollector struct {
 	enqueued      atomic.Uint64
 	consumed      atomic.Uint64
@@ -53,23 +51,13 @@ type statsCollector struct {
 	applyErrs     atomic.Uint64
 	compactions   atomic.Uint64
 	compactedByte atomic.Uint64
+	ack           obs.Histogram
 
 	mu       sync.Mutex
-	ring     [ackWindow]time.Duration
-	ringNext int
-	ringLen  int
 	firstErr error
 }
 
-func (c *statsCollector) observeAck(d time.Duration) {
-	c.mu.Lock()
-	c.ring[c.ringNext] = d
-	c.ringNext = (c.ringNext + 1) % ackWindow
-	if c.ringLen < ackWindow {
-		c.ringLen++
-	}
-	c.mu.Unlock()
-}
+func (c *statsCollector) observeAck(d time.Duration) { c.ack.Record(d) }
 
 func (c *statsCollector) observeBatch(n int) {
 	c.consumed.Add(uint64(n))
@@ -115,15 +103,7 @@ func (c *statsCollector) snapshot() Stats {
 	if s.Batches > 0 {
 		s.MeanBatch = float64(c.batchEvents.Load()) / float64(s.Batches)
 	}
-	c.mu.Lock()
-	lat := make([]time.Duration, c.ringLen)
-	copy(lat, c.ring[:c.ringLen])
-	c.mu.Unlock()
-	if len(lat) > 0 {
-		sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-		s.AckP50 = lat[len(lat)*50/100]
-		s.AckP95 = lat[len(lat)*95/100]
-		s.AckP99 = lat[len(lat)*99/100]
-	}
+	q := c.ack.Quantiles(0.50, 0.95, 0.99)
+	s.AckP50, s.AckP95, s.AckP99 = q[0], q[1], q[2]
 	return s
 }

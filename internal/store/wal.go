@@ -10,8 +10,13 @@
 // Durability follows the classic embedded-engine recipe: every mutation
 // is appended to a write-ahead log before being applied in memory;
 // Snapshot() compacts the log into a point-in-time image; Open() recovers
-// by loading the snapshot and replaying the log tail. Records are
-// checksummed JSON lines, so a torn final write is detected and dropped.
+// by loading the snapshot and replaying the log tail. Each record is one
+// log frame, table|op|crc32hex|json (see AppendFrame), so a torn or
+// corrupt final write is detected and dropped. Logs written before the
+// frame format hold JSON lines {table,op,data,crc}; replay still reads
+// them, line by line. The change is one-way: a reader that knows only
+// JSON lines takes the first frame for a torn tail, so a directory goes
+// back to such a reader only after a Snapshot has emptied the log.
 //
 // The log is written by a group committer: concurrent writers coalesce
 // into one buffered append (and, under SyncAlways, one fsync) per
@@ -35,14 +40,26 @@ import (
 	"sync/atomic"
 )
 
-// WAL operations. Puts are upserts (idempotent under replay); prune is
-// the measurement-retention sweep, logged once per call.
+// WAL operations, logged as the frame's flag byte. Puts are upserts
+// (idempotent under replay); prune is the measurement-retention sweep,
+// logged once per call.
 const (
-	opPut   = "put"
-	opPrune = "prune"
+	opPut   = "+"
+	opPrune = "-"
 )
 
-// walRecord is one logged mutation.
+// encodeRecord marshals one mutation into its log frame (newline
+// included). Called outside any table lock where possible.
+func encodeRecord(table, op string, data any) ([]byte, error) {
+	raw, err := json.Marshal(data)
+	if err != nil {
+		return nil, fmt.Errorf("store: marshal wal record: %w", err)
+	}
+	return AppendFrame(make([]byte, 0, len(table)+len(raw)+14), table, op[0], raw), nil
+}
+
+// walRecord is one logged mutation in the JSON-line format that
+// preceded log frames; replay still accepts it.
 type walRecord struct {
 	Table string          `json:"table"`
 	Op    string          `json:"op"` // "put" or "prune"
@@ -60,20 +77,36 @@ func (r *walRecord) checksum() uint32 {
 	return h.Sum32()
 }
 
-// encodeRecord marshals one mutation into its checksummed log line
-// (newline included). Called outside any table lock where possible.
-func encodeRecord(table, op string, data any) ([]byte, error) {
-	raw, err := json.Marshal(data)
-	if err != nil {
-		return nil, fmt.Errorf("store: marshal wal record: %w", err)
+// decodeWALLine parses and verifies one WAL line of either format,
+// chosen per line: a JSON record line starts with '{', anything else is
+// a log frame. ok is false for a torn or corrupt line.
+func decodeWALLine(line []byte) (table, op string, data []byte, ok bool) {
+	if len(line) > 0 && line[0] == '{' {
+		var rec walRecord
+		if json.Unmarshal(line, &rec) != nil || rec.checksum() != rec.CRC {
+			return "", "", nil, false
+		}
+		switch rec.Op {
+		case "put":
+			rec.Op = opPut
+		case "prune":
+			rec.Op = opPrune
+		}
+		return rec.Table, rec.Op, rec.Data, true
 	}
-	rec := walRecord{Table: table, Op: op, Data: raw}
-	rec.CRC = rec.checksum()
-	line, err := json.Marshal(&rec)
-	if err != nil {
-		return nil, fmt.Errorf("store: marshal wal line: %w", err)
+	kind, flag, payload, ok := ParseFrame(line)
+	if !ok {
+		return "", "", nil, false
 	}
-	return append(line, '\n'), nil
+	switch flag {
+	case opPut[0]:
+		op = opPut
+	case opPrune[0]:
+		op = opPrune
+	default:
+		op = string(rune(flag))
+	}
+	return string(kind), op, payload, true
 }
 
 // LogStats counts the committer's work: Records is the number of logged
@@ -304,14 +337,11 @@ var errStopReplay = errors.New("store: stop replay")
 // A missing file is an empty log.
 func replayWAL(path string, apply func(table, op string, data json.RawMessage) error) (int64, error) {
 	off, err := ReplayLines(path, func(line []byte) error {
-		var rec walRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
+		table, op, data, ok := decodeWALLine(line)
+		if !ok {
 			return errStopReplay // corrupt tail
 		}
-		if rec.checksum() != rec.CRC {
-			return errStopReplay
-		}
-		return apply(rec.Table, rec.Op, rec.Data)
+		return apply(table, op, data)
 	})
 	if errors.Is(err, errStopReplay) {
 		return off, nil
